@@ -59,9 +59,9 @@ class AgreementAnonymizer:
         qi_columns = [dataset.schema.index_of(name) for name in qi_names]
 
         if self.strategy == "sorted":
+            table = dataset.rows
             order = sorted(
-                range(n),
-                key=lambda i: _sort_key(tuple(dataset.rows[i][c] for c in qi_columns)),
+                range(n), key=lambda i: _sort_key([table[i][c] for c in qi_columns])
             )
         else:
             order = list(range(n))
@@ -78,6 +78,27 @@ class AgreementAnonymizer:
 
         schema = dataset.schema
         qi_set = set(qi_names)
+        # Cells are interned for the whole release: one raw value per
+        # (type, value) and one "*" per column.  Values compare by cover
+        # set, so sharing them changes no release, only the work of
+        # building and hashing it.
+        raw_cells: dict[tuple[type, object], GeneralizedValue] = {}
+        star_cells: dict[int, GeneralizedValue] = {}
+
+        def raw(value: object) -> GeneralizedValue:
+            key = (type(value), value)
+            cell = raw_cells.get(key)
+            if cell is None:
+                cell = raw_cells[key] = GeneralizedValue.raw(value)
+            return cell
+
+        def star(column: int) -> GeneralizedValue:
+            cell = star_cells.get(column)
+            if cell is None:
+                domain = schema.attribute(schema.names[column]).domain
+                cell = star_cells[column] = GeneralizedValue("*", list(domain))
+            return cell
+
         records: list[GeneralizedRecord] = []
         for group in groups:
             rows = [dataset.rows[i] for i in group]
@@ -90,23 +111,19 @@ class AgreementAnonymizer:
                 if name not in qi_set:
                     continue
                 column_values = {row[column] for row in rows}
-                if len(column_values) == 1:
-                    cell[column] = GeneralizedValue.raw(rows[0][column])
-                else:
-                    domain = schema.attribute(name).domain
-                    cell[column] = GeneralizedValue("*", list(domain))
+                cell[column] = raw(rows[0][column]) if len(column_values) == 1 else star(column)
             for row in rows:
                 values = [
-                    cell[column] if column in cell else GeneralizedValue.raw(row[column])
+                    cell[column] if column in cell else raw(row[column])
                     for column in range(len(schema))
                 ]
                 records.append(GeneralizedRecord(schema, values))
         return GeneralizedDataset(schema, records)
 
 
-def _sort_key(row: tuple) -> tuple:
+def _sort_key(row: list) -> tuple:
     """Type-stable lexicographic key (mixed int/str columns sort per-column)."""
-    return tuple((type(value).__name__, value) for value in row)
+    return tuple([(type(value).__name__, value) for value in row])
 
 
 def estimate_agreement_attack_success(

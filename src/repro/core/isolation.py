@@ -42,7 +42,7 @@ __all__ = [
 
 def matching_count(predicate: Callable[[Record], bool], dataset: Dataset) -> int:
     """``sum_i p(x_i)`` — how many records the predicate matches."""
-    return dataset.match_count(predicate)
+    return dataset.count(predicate)
 
 
 def matching_indices(predicate: Callable[[Record], bool], dataset: Dataset) -> list[int]:
@@ -52,7 +52,7 @@ def matching_indices(predicate: Callable[[Record], bool], dataset: Dataset) -> l
 
 def isolates(predicate: Callable[[Record], bool], dataset: Dataset) -> bool:
     """Definition 2.1: ``p`` isolates in ``x`` iff ``sum_i p(x_i) = 1``."""
-    return dataset.match_count(predicate) == 1
+    return dataset.count(predicate) == 1
 
 
 def estimate_isolation_rate(

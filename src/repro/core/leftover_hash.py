@@ -18,26 +18,63 @@ Python's builtin ``hash``).
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+
+import numpy as np
 
 from repro.core.predicate import Predicate
-from repro.data.dataset import Record
+from repro.data.dataset import Dataset, Record
 
 #: Resolution of the hash-to-unit-interval map (bits).
 _UNIT_BITS = 64
 _UNIT_DENOMINATOR = 2**_UNIT_BITS
+#: Bits of a digest that bit predicates may address.
+_DIGEST_BITS = 192
 
 
-@lru_cache(maxsize=1 << 17)
-def _cached_digest(salt: str, values: tuple) -> bytes:
-    """SHA-256 digest of a record's value tuple, memoized.
+def _material(values: tuple) -> bytes:
+    """The bytes a record is hashed over: the ``repr`` of its value tuple."""
+    return repr(values).encode("utf-8")
 
-    Composed mechanisms hash each record under the same salt hundreds of
-    times per release; keying the cache on the (hashable) value tuple makes
-    repeats cost one dict lookup, with serialization only on a miss.
+
+def _digest(prefix: bytes, material: bytes) -> bytes:
+    """SHA-256 of a salt prefix (``salt + NUL``) followed by a record's material."""
+    return hashlib.sha256(prefix + material).digest()
+
+
+def _check_bit_index(index: int) -> None:
+    if not 0 <= index < _DIGEST_BITS:
+        raise ValueError(f"bit index must lie in [0, {_DIGEST_BITS}), got {index}")
+
+
+class _DigestColumn:
+    """One salt's digests of one dataset's rows, filled in as rows are asked for.
+
+    ``digests`` is an ``(n, 32) uint8`` array; ``filled`` marks the rows
+    already hashed, so each row is hashed at most once per salt and a
+    conjunction hashes only the rows its earlier conjuncts left alive.
     """
-    material = repr(values).encode("utf-8")
-    return hashlib.sha256(salt.encode("utf-8") + b"\x00" + material).digest()
+
+    __slots__ = ("digests", "filled")
+
+    def __init__(self, n: int):
+        self.digests = np.zeros((n, hashlib.sha256().digest_size), dtype=np.uint8)
+        self.filled = np.zeros(n, dtype=bool)
+
+
+def _row_materials(dataset: Dataset) -> list:
+    """Per-row hash material of ``dataset``, ``None`` until first needed."""
+    return dataset.derived(("lhl-material",), lambda: [None] * len(dataset))
+
+
+def _units(digests: np.ndarray) -> np.ndarray:
+    """Map ``(k, >=8) uint8`` digests to [0, 1) exactly as :meth:`RecordHasher.unit`.
+
+    The first eight bytes read as a big-endian ``uint64``; its conversion
+    to float64 is correctly rounded, as is ``int / 2**64``, and scaling by
+    ``2**-64`` is exact, so both routes give the same float bit for bit.
+    """
+    leading = np.ascontiguousarray(digests[:, :8]).view(">u8").ravel()
+    return leading.astype(np.float64) * (1.0 / _UNIT_DENOMINATOR)
 
 
 class RecordHasher:
@@ -46,15 +83,20 @@ class RecordHasher:
     Distinct salts give (by the random-oracle heuristic backing the LHL
     usage) independent functions — which is why conjunctions of hash
     predicates with distinct salts may multiply their analytic weights.
+
+    :meth:`unit` and :meth:`bit` hash one record; :meth:`digests` hashes
+    rows of a dataset through a digest column cached on the dataset.  Both
+    hash the same material with the same function.
     """
 
     def __init__(self, salt: str):
         if not salt:
             raise ValueError("salt must be non-empty")
         self.salt = salt
+        self._prefix = salt.encode("utf-8") + b"\x00"
 
     def _digest(self, record: Record) -> bytes:
-        return _cached_digest(self.salt, tuple(record.values))
+        return _digest(self._prefix, _material(tuple(record.values)))
 
     def unit(self, record: Record) -> float:
         """Map the record to [0, 1) with 64-bit resolution."""
@@ -68,11 +110,48 @@ class RecordHasher:
         :meth:`unit`, so bit predicates are independent of threshold
         predicates *with the same salt* as long as ``index >= 64``.
         """
-        if not 0 <= index < 192:
-            raise ValueError(f"bit index must lie in [0, 192), got {index}")
+        _check_bit_index(index)
         digest = self._digest(record)
         byte_index, bit_offset = divmod(index, 8)
         return (digest[byte_index] >> bit_offset) & 1
+
+    def digests(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        """The ``(len(rows), 32) uint8`` digests of ``dataset``'s ``rows``.
+
+        Read from the dataset's column for this salt; rows not yet in it
+        are hashed now, their material taken from (and kept in) the
+        dataset's material cache.  Threads sharing a dataset need no lock:
+        a row's digest is written before it is marked filled, and any two
+        writers of a row write the same bytes.
+        """
+        column = dataset.derived(
+            ("lhl-digest", self._prefix), lambda: _DigestColumn(len(dataset))
+        )
+        missing = rows[~column.filled[rows]]
+        if missing.size:
+            materials = _row_materials(dataset)
+            table = dataset.rows
+            fresh = []
+            for index in missing.tolist():
+                material = materials[index]
+                if material is None:
+                    material = materials[index] = _material(table[index])
+                fresh.append(_digest(self._prefix, material))
+            column.digests[missing] = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(
+                len(fresh), -1
+            )
+            column.filled[missing] = True
+        return column.digests[rows]
+
+    def units(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        """:meth:`unit` of each of ``dataset``'s ``rows``, batched."""
+        return _units(self.digests(dataset, rows))
+
+    def bits(self, dataset: Dataset, rows: np.ndarray, index: int) -> np.ndarray:
+        """:meth:`bit` ``index`` of each of ``dataset``'s ``rows``, batched."""
+        _check_bit_index(index)
+        byte_index, bit_offset = divmod(index, 8)
+        return (self.digests(dataset, rows)[:, byte_index] >> bit_offset) & 1
 
 
 def hash_threshold_predicate(salt: str, threshold: float) -> Predicate:
@@ -89,20 +168,13 @@ def hash_threshold_predicate(salt: str, threshold: float) -> Predicate:
         lambda record: hasher.unit(record) < threshold,
         f"h_{salt}(x) < {threshold:.3e}",
         analytic_weight=threshold,
+        rows_fn=lambda dataset, rows: hasher.units(dataset, rows) < threshold,
     )
 
 
 def hash_bit_predicate(salt: str, index: int) -> Predicate:
     """The predicate "bit ``index`` of ``h_salt(x)`` is 1" (weight 1/2)."""
-    hasher = RecordHasher(salt)
-    # Probe validity eagerly so bad indices fail at construction time.
-    if not 0 <= index < 192:
-        raise ValueError(f"bit index must lie in [0, 192), got {index}")
-    return Predicate(
-        lambda record: hasher.bit(record, index) == 1,
-        f"bit_{index}(h_{salt}(x)) = 1",
-        analytic_weight=0.5,
-    )
+    return hash_bit_equals_predicate(salt, index, 1)
 
 
 def hash_bit_equals_predicate(salt: str, index: int, value: int) -> Predicate:
@@ -110,12 +182,13 @@ def hash_bit_equals_predicate(salt: str, index: int, value: int) -> Predicate:
     if value not in (0, 1):
         raise ValueError(f"value must be 0 or 1, got {value}")
     hasher = RecordHasher(salt)
-    if not 0 <= index < 192:
-        raise ValueError(f"bit index must lie in [0, 192), got {index}")
+    # Probe validity eagerly so bad indices fail at construction time.
+    _check_bit_index(index)
     return Predicate(
         lambda record: hasher.bit(record, index) == value,
         f"bit_{index}(h_{salt}(x)) = {value}",
         analytic_weight=0.5,
+        rows_fn=lambda dataset, rows: hasher.bits(dataset, rows, index) == value,
     )
 
 

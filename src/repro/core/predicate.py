@@ -102,6 +102,11 @@ class Predicate:
             exact weight is computationally inaccessible but known by
             construction (Leftover Hash Lemma); treated as exact by
             :meth:`weight_bound` for such predicates.
+        components: for conjunctions, the conjuncts.
+        rows_fn: an optional batched form of ``fn``: given a dataset and an
+            array of row indices, the boolean array of ``fn`` on those rows.
+            It must agree with ``fn`` row for row; :meth:`match_mask` calls
+            it on the candidate rows only.
     """
 
     def __init__(
@@ -111,8 +116,10 @@ class Predicate:
         conditions: AttributeConditions | None = None,
         analytic_weight: float | None = None,
         components: tuple["Predicate", ...] | None = None,
+        rows_fn: Callable[[Dataset, np.ndarray], np.ndarray] | None = None,
     ):
         self._fn = fn
+        self._rows_fn = rows_fn
         self.description = description
         self.conditions = (
             {name: frozenset(allowed) for name, allowed in conditions.items()}
@@ -134,10 +141,11 @@ class Predicate:
 
         Structural predicates evaluate column-wise without building
         :class:`Record` objects; conjunctions narrow the candidate set
-        conjunct by conjunct, so expensive opaque conjuncts (hash
-        refinements) only ever run on the few rows their structural
-        siblings left alive; opaque predicates fall back to the function,
-        applied only to still-candidate rows.
+        conjunct by conjunct, so later conjuncts (hash refinements, hash
+        bits) only ever run on the rows their earlier siblings left alive;
+        predicates with a batched form (the hash predicates) evaluate it on
+        the still-candidate rows; other opaque predicates fall back to the
+        function, applied only to still-candidate rows.
         """
         mask = np.ones(len(dataset), dtype=bool)
         self._narrow(dataset, mask)
@@ -154,7 +162,11 @@ class Predicate:
                     return
                 component._narrow(dataset, mask)
             return
-        for index in np.flatnonzero(mask):
+        rows = np.flatnonzero(mask)
+        if self._rows_fn is not None:
+            mask[rows] = self._rows_fn(dataset, rows)
+            return
+        for index in rows:
             if not self._fn(dataset[int(index)]):
                 mask[index] = False
 
@@ -252,7 +264,7 @@ class Predicate:
                     return cached
         generator = derive_rng(0, "weight-bound", key) if key is not None else ensure_rng(rng)
         data = distribution.sample(samples, generator)
-        successes = data.match_count(self)
+        successes = data.count(self)
         _lower, upper = clopper_pearson_interval(successes, samples, confidence)
         if key is not None:
             _cache_put(key, upper)

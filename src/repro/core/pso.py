@@ -212,7 +212,7 @@ class PSOGame:
                 weight_negligible=False,
                 abstained=True,
             )
-        isolated = data.match_count(predicate) == 1
+        isolated = data.count(predicate) == 1
         weight_bound = predicate.weight_bound(
             self.context.distribution, samples=self.weight_samples, rng=weight_rng
         )

@@ -98,6 +98,9 @@ class Dataset:
             rows.append(values)
         self._rows: tuple[tuple, ...] = tuple(rows)
         self._column_cache: dict[str, tuple] = {}
+        #: Values derived from the rows by other layers (see :meth:`derived`);
+        #: they live and die with this dataset.
+        self._derived: dict[Hashable, object] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -142,6 +145,19 @@ class Dataset:
             self._column_cache[name] = cached
         return cached
 
+    def derived(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The value cached under ``key``, made by ``build()`` on first use.
+
+        Rows never change, so anything computed from them can be kept for
+        the dataset's lifetime: the hash predicates keep their per-salt
+        digest columns here (:mod:`repro.core.leftover_hash`).  The cache
+        is per instance, so it is freed with the dataset.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
     # -- relational-ish operations ----------------------------------------------
 
     def project(self, names: Sequence[str]) -> "Dataset":
@@ -168,10 +184,6 @@ class Dataset:
             (row for row in self._rows if condition(Record(self.schema, row))),
             validate=False,
         )
-
-    def count(self, condition: Callable[[Record], bool]) -> int:
-        """Number of records satisfying ``condition`` (the paper's M#q)."""
-        return sum(1 for row in self._rows if condition(Record(self.schema, row)))
 
     # -- batched predicate evaluation ---------------------------------------------
 
@@ -212,8 +224,9 @@ class Dataset:
             count=len(self._rows),
         )
 
-    def match_count(self, predicate: Callable[[Record], bool]) -> int:
-        """``sum_i p(x_i)`` via the batched evaluation path."""
+    def count(self, predicate: Callable[[Record], bool]) -> int:
+        """Number of records satisfying ``predicate``: the paper's
+        ``M#q(x) = sum_i q(x_i)``, evaluated through :meth:`match_mask`."""
         return int(np.count_nonzero(self.match_mask(predicate)))
 
     def replace_records(self, records: Iterable[Sequence[object]]) -> "Dataset":

@@ -47,6 +47,8 @@ class AttributeDistribution:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         self._values: list[Hashable] = values
         self._probs = probs
+        #: :meth:`probability_of_set` results for frozenset arguments.
+        self._set_probabilities: dict[frozenset, float] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -82,11 +84,20 @@ class AttributeDistribution:
         return float(self._probs[index])
 
     def probability_of_set(self, values: Callable[[Hashable], bool] | set) -> float:
-        """P(attribute in values); accepts a set or a membership callable."""
-        if isinstance(values, (set, frozenset)):
-            member = values.__contains__
-        else:
-            member = values
+        """P(attribute in values); accepts a set or a membership callable.
+
+        Results for frozensets are memoised: the k-anonymity attack asks
+        for the same cover sets over and over.  A memoised value is the
+        same sum, so it is the same float.
+        """
+        if isinstance(values, frozenset):
+            cached = self._set_probabilities.get(values)
+            if cached is None:
+                cached = self._set_probabilities[values] = self._sum_over(values.__contains__)
+            return cached
+        return self._sum_over(values.__contains__ if isinstance(values, set) else values)
+
+    def _sum_over(self, member: Callable[[Hashable], bool]) -> float:
         return float(sum(p for v, p in zip(self._values, self._probs) if member(v)))
 
     def min_entropy(self) -> float:
@@ -175,11 +186,8 @@ class ProductDistribution:
         if n < 0:
             raise ValueError("n must be non-negative")
         generator = ensure_rng(rng)
-        columns = {name: self.marginals[name].sample(n, generator) for name in self.schema.names}
-        records = (
-            tuple(columns[name][i] for name in self.schema.names) for i in range(n)
-        )
-        return Dataset(self.schema, records, validate=False)
+        columns = [self.marginals[name].sample(n, generator) for name in self.schema.names]
+        return Dataset(self.schema, zip(*columns), validate=False)
 
     # -- probabilities -------------------------------------------------------------
 
@@ -218,7 +226,7 @@ class ProductDistribution:
             raise ValueError("samples must be positive")
         generator = ensure_rng(rng)
         data = self.sample(samples, generator)
-        return data.match_count(predicate) / samples
+        return data.count(predicate) / samples
 
     def min_entropy(self) -> float:
         """Min-entropy of a full record, in bits (sum of marginal min-entropies).

@@ -52,12 +52,13 @@ class Schema:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in schema: {names}")
         self.attributes: tuple[Attribute, ...] = tuple(attributes)
+        self._names = tuple(names)
         self._index = {attribute.name: i for i, attribute in enumerate(attributes)}
 
     @property
     def names(self) -> tuple[str, ...]:
         """Attribute names in schema order."""
-        return tuple(attribute.name for attribute in self.attributes)
+        return self._names
 
     def index_of(self, name: str) -> int:
         """Column index of the attribute called ``name``."""
