@@ -55,6 +55,16 @@ an append plus a queue signal — and full mode asserts the serving
 overhead stays under the 2x ROADMAP target (``--loadgen-audit`` runs the
 load generator against the same background-audited server).
 
+**Accounting.**  Microseconds per capped charge for a
+:class:`~repro.privacy.accounting.BasicAccountant` and a
+:class:`~repro.privacy.accounting.ShardedAccountant` with 10^2, 10^3,
+10^4 and 10^5 registered analysts (smoke stops at 10^4), each charge
+going to a random analyst under a global epsilon cap.  The global total is
+one exactly rounded running sum, so a charge must cost the same however
+many analysts share the cap: the section is gated on being flat, the
+slowest per-charge time at most ``MAX_ACCOUNTING_SPREAD`` times the
+fastest, per accountant.
+
 **Compliance gate.**  The release-approval gate
 (:class:`repro.compliance.gate.ComplianceGate`) runs at mechanism-spec
 registration, never per query, so a gated server's cached hot path must
@@ -101,6 +111,7 @@ from repro.service import (
     CircuitBreakerTripped,
     QueryServer,
     ReconstructionAuditor,
+    ShardedAccountant,
     ShardedQueryServer,
 )
 from repro.utils.parallel import chunk_indices, parallel_map
@@ -114,6 +125,14 @@ GUARD_TOLERANCE = 0.10
 
 #: Shard count of the concurrent front end under test.
 SHARDS = 16
+
+#: Analyst counts the accounting section charges against (smoke drops the
+#: largest).
+ACCOUNTING_ANALYSTS = (100, 1_000, 10_000, 100_000)
+
+#: Flatness gate for the accounting section: the slowest per-charge time
+#: may be at most this multiple of the fastest.
+MAX_ACCOUNTING_SPREAD = 2.0
 
 #: ROADMAP target for background auditing: serving an audited stream may
 #: cost at most this factor over the un-audited stream.
@@ -378,6 +397,65 @@ def bench_concurrent(
         "queries_total": total,
         "uncached_qps": total / max(uncached_elapsed, 1e-9),
         "cached_qps": total / max(cached_elapsed, 1e-9),
+    }
+
+
+def bench_accounting(
+    analyst_counts, seed: int, charges: int = 2_000, repeats: int = 7
+) -> dict:
+    """Microseconds per capped charge, per accountant and analyst count.
+
+    Every analyst is registered with one charge first; then ``charges``
+    charges go to analysts drawn at random, best of ``repeats`` passes.
+    The passes of one accountant type take turns across the analyst
+    counts, so a change in host speed during the run reaches every count
+    alike instead of reading as growth.  The cap is far above what the run
+    spends, so no charge is refused and every one runs the full global
+    check.
+    """
+    import os
+
+    epsilon = 1e-3
+    cap = 1e6
+    accountants = {
+        "basic": lambda: BasicAccountant(None, cap),
+        "sharded": lambda: ShardedAccountant(None, cap, shards=SHARDS),
+    }
+    rng = np.random.default_rng(seed)
+    us_per_charge: dict[str, dict[str, float]] = {}
+    for name, make in accountants.items():
+        runs = []
+        for analysts in analyst_counts:
+            accountant = make()
+            names = [f"analyst-{index}" for index in range(analysts)]
+            for analyst in names:
+                accountant.charge(analyst, 1, epsilon)
+            stream = [names[index] for index in rng.integers(0, analysts, size=charges)]
+            runs.append((analysts, accountant, stream))
+        best = {analysts: float("inf") for analysts, _, _ in runs}
+        for _ in range(repeats):
+            for analysts, accountant, stream in runs:
+                start = time.perf_counter()
+                for analyst in stream:
+                    accountant.charge(analyst, 1, epsilon)
+                best[analysts] = min(best[analysts], time.perf_counter() - start)
+        us_per_charge[name] = {
+            str(analysts): seconds / charges * 1e6 for analysts, seconds in best.items()
+        }
+    spread = {
+        name: max(values.values()) / min(values.values())
+        for name, values in us_per_charge.items()
+    }
+    return {
+        "cpu_count": os.cpu_count(),
+        "analysts": list(analyst_counts),
+        "charges_per_pass": charges,
+        "repeats": repeats,
+        "global_epsilon": cap,
+        "us_per_charge": us_per_charge,
+        "spread": spread,
+        "max_spread": MAX_ACCOUNTING_SPREAD,
+        "flat_ok": all(ratio <= MAX_ACCOUNTING_SPREAD for ratio in spread.values()),
     }
 
 
@@ -924,6 +1002,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.loadgen_only:
         return 0
 
+    accounting = bench_accounting(
+        ACCOUNTING_ANALYSTS[:-1] if args.smoke else ACCOUNTING_ANALYSTS, args.seed
+    )
+    for name, values in accounting["us_per_charge"].items():
+        readings = ", ".join(
+            f"{int(analysts):,}: {us:.1f}us" for analysts, us in values.items()
+        )
+        print(
+            f"accounting {name}: per capped charge {readings} "
+            f"(spread {accounting['spread'][name]:.2f}x)",
+            flush=True,
+        )
+    # The flatness gate: a capped charge must not cost more as analysts
+    # are added.
+    assert accounting["flat_ok"], (
+        f"capped charge cost grew with the analyst count: spread "
+        f"{accounting['spread']} > {MAX_ACCOUNTING_SPREAD:.1f}x"
+    )
+
     single = bench_single_session(n, num_queries, args.seed, repeats=args.repeats)
     print(
         f"single session n={n}: uncached {single['uncached_qps']:,.0f} q/s, "
@@ -1074,6 +1171,7 @@ def main(argv: list[str] | None = None) -> int:
         "guard_tolerance": GUARD_TOLERANCE,
         "baseline_guard": guard_checks,
         "single_session": single,
+        "accounting": accounting,
         "compliance": compliance,
         "telemetry": telemetry,
         "concurrent": concurrent,

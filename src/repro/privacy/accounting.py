@@ -30,6 +30,7 @@ this module is the single home.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -185,6 +186,8 @@ class PrivacyAccountant:
         self._counts: dict[float, int] = {}
         self._delta_total = 0.0
         self._queries = 0
+        # Composed epsilon of ``_counts``; ``None`` until computed.
+        self._epsilon: float | None = None
         self._lock = threading.RLock()
 
     # -- composition rule ---------------------------------------------------
@@ -219,7 +222,9 @@ class PrivacyAccountant:
     def epsilon_composed(self) -> float:
         """Composed epsilon of the ledger under this accountant's rule."""
         with self._lock:
-            return float(self._composed(self._counts))
+            if self._epsilon is None:
+                self._epsilon = float(self._composed(self._counts))
+            return self._epsilon
 
     def total(self) -> tuple[float, float]:
         """Current (epsilon, delta) under basic composition."""
@@ -268,13 +273,16 @@ class PrivacyAccountant:
         *,
         label: str = "",
         analyst: str = "",
-    ) -> None:
+    ) -> tuple[float, float]:
         """Atomically charge ``count`` queries at (``epsilon``, ``delta``) each.
 
         All-or-nothing: if any budget (query count, epsilon, delta) would be
         exceeded, raises :class:`BudgetExhausted` and records nothing.  The
         optional ``analyst`` only decorates refusal messages — the
         multi-analyst bookkeeping lives in :class:`ServiceAccountant`.
+
+        Returns ``(before, after)``: the ledger's composed epsilon either
+        side of the charge, each computed once.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -283,7 +291,8 @@ class PrivacyAccountant:
         if not 0 <= delta < 1:
             raise ValueError("delta must lie in [0, 1)")
         if count == 0:
-            return
+            composed = self.epsilon_composed
+            return composed, composed
         count = int(count)
         prefix = f"analyst {analyst!r}: " if analyst else ""
         with self._lock:
@@ -301,11 +310,11 @@ class PrivacyAccountant:
                     budget=self.max_queries,
                     spent=self._queries,
                 )
+            before = self.epsilon_composed
+            candidate = dict(self._counts)
+            candidate[epsilon] = candidate.get(epsilon, 0) + count
+            after = float(self._composed(candidate))
             if self.epsilon_budget is not None:
-                candidate = dict(self._counts)
-                candidate[epsilon] = candidate.get(epsilon, 0) + count
-                before = self._composed(self._counts)
-                after = self._composed(candidate)
                 if after > self.epsilon_budget + _EPSILON_TOLERANCE:
                     if analyst:
                         message = (
@@ -344,26 +353,42 @@ class PrivacyAccountant:
                     budget=self.delta_budget,
                     spent=self._delta_total,
                 )
+            self._record(count, epsilon, delta, label)
+            self._epsilon = after
+            return before, after
+
+    def _record(self, count: int, epsilon: float, delta: float = 0.0, label: str = "") -> None:
+        """Book ``count`` charges that already passed every budget check.
+
+        Leaves the composed epsilon to be recomputed on the next read.
+        """
+        with self._lock:
             self._counts[epsilon] = self._counts.get(epsilon, 0) + count
-            self._delta_total = total_delta
+            self._delta_total += delta * count
             self._queries += count
+            self._epsilon = None
             if self._record_entries:
                 entry = PrivacySpend(epsilon=epsilon, delta=delta, label=label)
                 self._entries.extend([entry] * count)
 
-    def rollback(self, count: int, epsilon: float, delta: float = 0.0) -> None:
+    def rollback(
+        self, count: int, epsilon: float, delta: float = 0.0
+    ) -> tuple[float, float]:
         """Return a reservation to the budget (the work was never done).
 
         The inverse of :meth:`reserve` for the same ``(count, epsilon,
         delta)``; only the most recent reservations may be rolled back, so
-        callers pair each rollback with their own failed reserve.
+        callers pair each rollback with their own failed reserve.  Returns
+        ``(before, after)`` composed epsilon, like :meth:`reserve`.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
-            return
+            composed = self.epsilon_composed
+            return composed, composed
         count = int(count)
         with self._lock:
+            before = self.epsilon_composed
             recorded = self._counts.get(epsilon, 0)
             if recorded < count or self._queries < count:
                 raise ValueError(
@@ -378,12 +403,94 @@ class PrivacyAccountant:
             self._queries -= count
             if self._record_entries:
                 del self._entries[-count:]
+            self._epsilon = after = float(self._composed(self._counts))
+            return before, after
 
     def __repr__(self) -> str:
         epsilon, delta = self.total()
         return (
             f"{type(self).__name__}(spent=({epsilon:.4f}, {delta:.2e}), "
             f"budget={self.epsilon_budget})"
+        )
+
+
+def _grow(partials: list[float], x: float) -> None:
+    """Add ``x`` to the exact sum held in Shewchuk ``partials``: non-overlapping
+    floats of increasing magnitude, the representation ``math.fsum`` builds."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x] if x else []
+
+
+class _GlobalTotal:
+    """The exact sum of every analyst's composed epsilon, and its cap.
+
+    A charge or refund adds the analyst's new composed value and the
+    negation of the old one (O(1)); a read rounds the exact sum once, so
+    the total is ``math.fsum`` of the per-analyst values whatever order or
+    interleaving of charges produced it.  Infinite composed values (an
+    overflowing composition) are counted apart, as partials cannot hold
+    them.  The lock is a leaf: taken after a ledger lock, never before one,
+    and nothing is acquired under it.
+    """
+
+    __slots__ = ("cap", "_infinite", "_lock", "_partials")
+
+    def __init__(self, cap: float | None):
+        self.cap = cap
+        self._lock = threading.Lock()
+        self._partials: list[float] = []
+        self._infinite = 0
+
+    def _add(self, x: float) -> None:
+        if math.isinf(x):
+            self._infinite += 1 if x > 0 else -1
+        else:
+            _grow(self._partials, x)
+
+    def _sum(self) -> float:
+        return math.inf if self._infinite else math.fsum(self._partials)
+
+    def spent(self) -> float:
+        """The exactly rounded total."""
+        with self._lock:
+            return self._sum()
+
+    def move(self, before: float, after: float, analyst="", count=0, epsilon_per_query=0.0):
+        """Replace one analyst's composed ``before`` by ``after``.
+
+        A move that takes the total past the cap is undone (the two terms
+        added back in reverse) and refused with :class:`BudgetExhausted`,
+        which the last three arguments describe.
+        """
+        with self._lock:
+            self._add(after)
+            self._add(-before)
+            if self.cap is None or after <= before:
+                return
+            grand = self._sum()
+            if grand <= self.cap + _EPSILON_TOLERANCE:
+                return
+            self._add(before)
+            self._add(-after)
+            spent = self._sum()
+        raise BudgetExhausted(
+            f"global budget: charging analyst {analyst!r} {count} x "
+            f"eps={epsilon_per_query} would total "
+            f"{grand:.4f} > budget {self.cap}",
+            analyst=analyst,
+            scope="global",
+            requested=after - before,
+            budget=self.cap,
+            spent=spent,
         )
 
 
@@ -395,9 +502,11 @@ class ServiceAccountant(PrivacyAccountant, ABC):
     *this* accountant's :meth:`composed_epsilon`, so per-analyst budgets
     compose by the subclass rule with no duplicated math.  The global
     ledger composes *basically* across analysts — the private data answers
-    all of them, so their losses add — and every charge is also mirrored
-    into the inherited single ledger, which therefore reports the basic
-    (epsilon, delta) total across the whole service via :meth:`total`.
+    all of them, so their losses add — as one exactly rounded running total
+    that each charge updates in O(1) under a leaf lock taken after this
+    accountant's lock.  Every charge is also mirrored into the inherited
+    single ledger, which therefore reports the basic (epsilon, delta) total
+    across the whole service via :meth:`total`.
 
     Subclasses supply the composition rule through :meth:`composed_epsilon`.
     """
@@ -419,6 +528,7 @@ class ServiceAccountant(PrivacyAccountant, ABC):
         self.global_epsilon = global_epsilon
         self.max_queries_per_analyst = max_queries_per_analyst
         self._ledgers: dict[str, PrivacyAccountant] = {}
+        self._total = _GlobalTotal(global_epsilon)
 
     @abstractmethod
     def composed_epsilon(self, spends: dict[float, int]) -> float:
@@ -449,9 +559,9 @@ class ServiceAccountant(PrivacyAccountant, ABC):
             return ledger.epsilon_composed if ledger is not None else 0.0
 
     def global_spent(self) -> float:
-        """Composed epsilon across all analysts (basic across sessions)."""
-        with self._lock:
-            return sum(ledger.epsilon_composed for ledger in self._ledgers.values())
+        """Composed epsilon across all analysts (basic across sessions),
+        exactly rounded."""
+        return self._total.spent()
 
     def remaining_epsilon(self, analyst: str) -> float | None:
         """Unspent per-analyst epsilon, or ``None`` for an unlimited ledger."""
@@ -475,28 +585,15 @@ class ServiceAccountant(PrivacyAccountant, ABC):
             return
         with self._lock:
             ledger = self._ledger_for(analyst)
-            before = ledger.epsilon_composed
-            ledger.reserve(count, epsilon_per_query, analyst=analyst)
-            after = ledger.epsilon_composed
-            if self.global_epsilon is not None:
-                grand = sum(
-                    led.epsilon_composed for led in self._ledgers.values()
-                )
-                if grand > self.global_epsilon + _EPSILON_TOLERANCE:
-                    ledger.rollback(count, epsilon_per_query)
-                    raise BudgetExhausted(
-                        f"global budget: charging analyst {analyst!r} {count} x "
-                        f"eps={epsilon_per_query} would total "
-                        f"{grand:.4f} > budget {self.global_epsilon}",
-                        analyst=analyst,
-                        scope="global",
-                        requested=after - before,
-                        budget=self.global_epsilon,
-                        spent=grand - (after - before),
-                    )
+            before, after = ledger.reserve(count, epsilon_per_query, analyst=analyst)
+            try:
+                self._total.move(before, after, analyst, count, epsilon_per_query)
+            except BudgetExhausted:
+                ledger.rollback(count, epsilon_per_query)
+                raise
             # Mirror into the inherited single ledger (no budgets attached)
             # so the service reports a basic global (epsilon, delta) total.
-            super().reserve(count, epsilon_per_query)
+            self._record(count, epsilon_per_query)
 
     def refund(self, analyst: str, count: int, epsilon_per_query: float) -> None:
         """Return a charge to the budgets (the inverse of :meth:`charge`).
@@ -514,7 +611,8 @@ class ServiceAccountant(PrivacyAccountant, ABC):
             ledger = self._ledgers.get(analyst)
             if ledger is None:
                 raise ValueError(f"no charges recorded for analyst {analyst!r}")
-            ledger.rollback(count, epsilon_per_query)
+            before, after = ledger.rollback(count, epsilon_per_query)
+            self._total.move(before, after)
             super().rollback(count, epsilon_per_query)
 
     def lease(self, analyst: str, count: int, epsilon_per_query: float) -> "BudgetLease":
@@ -659,40 +757,6 @@ def stable_shard(name: str, shards: int) -> int:
     return int.from_bytes(digest, "little") % shards
 
 
-class _EpsilonLease:
-    """One shard's leased slice of the global epsilon budget.
-
-    A strictly *leaf* lock: consumed and refilled under its own mutex and
-    never held while any other lock is acquired, so lease traffic can never
-    participate in a lock cycle.  The balance is pure admission credit —
-    the authoritative spend always lives in the per-analyst ledgers.
-    """
-
-    __slots__ = ("_lock", "balance")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.balance = 0.0
-
-    def consume(self, amount: float) -> bool:
-        """Atomically deduct ``amount`` if covered; False means reconcile."""
-        with self._lock:
-            if amount <= self.balance:
-                self.balance -= amount
-                return True
-            return False
-
-    def deposit(self, amount: float) -> None:
-        with self._lock:
-            self.balance += amount
-
-    def drain(self) -> float:
-        """Zero the balance, returning what was outstanding."""
-        with self._lock:
-            outstanding, self.balance = self.balance, 0.0
-            return outstanding
-
-
 #: Shard-count default for :class:`ShardedAccountant` (and the sharded
 #: service front end, which mirrors it).
 DEFAULT_SHARDS = 16
@@ -702,36 +766,22 @@ SHARD_RULES = ("basic", "advanced")
 
 
 class ShardedAccountant:
-    """``S`` independent service sub-ledgers under one exact global cap.
+    """``S`` :class:`ServiceAccountant` shards sharing one exact global budget.
 
-    The scaling problem with :class:`ServiceAccountant` is its single
-    re-entrant lock: every fresh query from every analyst serializes on it.
-    This accountant hash-partitions analysts across ``shards`` independent
+    A thin router: analysts hash-partition across ``shards`` independent
     :class:`ServiceAccountant` instances (via :func:`stable_shard`), so
-    per-analyst and per-shard bookkeeping contend only within a shard — the
-    request hot path never takes a global lock.
-
-    The one genuinely global constraint — ``global_epsilon`` across all
-    analysts — is enforced by *epsilon leases*: each shard holds a credit
-    balance pre-authorized by a broker, charges are debited against it
-    locally, and only when a shard's credit runs dry does it take the
-    broker lock, reclaim every outstanding lease, and re-run the **exact**
-    single-ledger check (the same ordered float sum over per-analyst
-    composed epsilons, the same tolerance, the same refusal message).
-    Refusals therefore only ever happen on the exact path, and the broker
-    grants credit strictly within ``global_epsilon`` (no tolerance), so:
-
-    * a charge accepted from a lease would also have been accepted by the
-      single ledger (the lease invariant keeps the true total <= budget);
-    * a refused charge raises a :class:`BudgetExhausted` bit-identical to
-      the one :class:`ServiceAccountant` raises at the same point;
-    * spend reads (:meth:`global_spent`, :meth:`analyst_epsilon`,
-      :meth:`total`) are reconciled exactly on every call — the leases are
-      never part of the reported ledger.
+    per-analyst bookkeeping contends only within a shard instead of on one
+    re-entrant lock.  The one global constraint, ``global_epsilon`` across
+    all analysts, is a single exactly rounded running total that every
+    shard books into under its leaf lock (taken after the shard lock, never
+    before it).  The exact sum rounded once does not depend on which shard
+    charged first or how charges interleave, so every verdict (accepted
+    charges and :class:`BudgetExhausted` refusals, message and numbers
+    included) is bit-identical to one :class:`ServiceAccountant` running
+    the same sequence, and each charge is O(1) in the number of analysts.
 
     Args mirror :class:`ServiceAccountant`; ``rule`` picks the per-shard
-    composition (:data:`SHARD_RULES`), ``lease_chunk`` sizes the credit a
-    reconciliation grants (default ``global_epsilon / (4 * shards)``).
+    composition (:data:`SHARD_RULES`), ``delta_prime`` the advanced rule's.
     """
 
     def __init__(
@@ -743,70 +793,42 @@ class ShardedAccountant:
         shards: int = DEFAULT_SHARDS,
         rule: str = "basic",
         delta_prime: float = 1e-6,
-        lease_chunk: float | None = None,
     ):
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
         if rule not in SHARD_RULES:
             raise ValueError(f"unknown rule {rule!r}; known: {SHARD_RULES}")
-        if global_epsilon is not None and global_epsilon <= 0:
-            raise ValueError("global_epsilon must be positive when set")
-        if lease_chunk is not None and lease_chunk <= 0:
-            raise ValueError("lease_chunk must be positive when set")
         self.shards = int(shards)
         self.rule = rule
         self.per_analyst_epsilon = per_analyst_epsilon
         self.global_epsilon = global_epsilon
         self.max_queries_per_analyst = max_queries_per_analyst
-        if rule == "advanced":
-            self._shard_ledgers = tuple(
-                AdvancedAccountant(
-                    per_analyst_epsilon, None, max_queries_per_analyst, delta_prime
-                )
-                for _ in range(self.shards)
-            )
-        else:
-            self._shard_ledgers = tuple(
-                BasicAccountant(per_analyst_epsilon, None, max_queries_per_analyst)
-                for _ in range(self.shards)
-            )
-        if lease_chunk is None and global_epsilon is not None:
-            lease_chunk = global_epsilon / (4.0 * self.shards)
-        self.lease_chunk = lease_chunk
-        self._leases = tuple(_EpsilonLease() for _ in range(self.shards))
-        self._broker_lock = threading.Lock()
-        #: Exact global reconciliations run so far (lease exhaustion events).
-        self.reconciliations = 0
+        budgets = (per_analyst_epsilon, global_epsilon, max_queries_per_analyst)
+        self._shard_ledgers = tuple(
+            AdvancedAccountant(*budgets, delta_prime)
+            if rule == "advanced"
+            else BasicAccountant(*budgets)
+            for _ in range(self.shards)
+        )
+        # Every shard books into the first shard's total: one cap, one sum.
+        self._total = self._shard_ledgers[0]._total
+        for shard in self._shard_ledgers[1:]:
+            shard._total = self._total
         self._telemetry = None
-        # First-charge order across all shards: the exact global check must
-        # sum composed epsilons in the same order ServiceAccountant's
-        # ledger dict iterates, or float rounding breaks bit-identity.
-        self._order: list[tuple[int, str]] = []
-        self._known: dict[str, int] = {}
 
     def bind_telemetry(self, telemetry) -> None:
-        """Register budget gauges and the reconciliation counter (idempotent).
-
-        One accountant serves every shard server, so all of them bind the
-        same instance; the first bind wins.  Every metric is a snapshot
-        -time callback — ``global_spent`` takes the broker lock, which is
-        exactly the read path diagnostics already use, and nothing is
-        added to the charge hot path beyond the ``reconciliations``
-        integer bump already inside the reconciliation critical section.
-        """
+        """Register the budget gauges, snapshot-time reads of
+        :meth:`global_spent` (idempotent: every shard server binds the same
+        accountant, and the first bind wins)."""
         if self._telemetry is not None or not getattr(telemetry, "enabled", False):
             return
         from repro.telemetry.instrument import (
             BUDGET_EPSILON_REMAINING,
             BUDGET_EPSILON_SPENT,
-            LEASE_RECONCILIATIONS,
         )
 
         self._telemetry = telemetry
         registry = telemetry.registry
-        registry.counter_fn(
-            LEASE_RECONCILIATIONS, lambda: float(self.reconciliations)
-        )
         registry.gauge_fn(BUDGET_EPSILON_SPENT, lambda: self.global_spent())
         if self.global_epsilon is not None:
             registry.gauge_fn(
@@ -820,150 +842,40 @@ class ShardedAccountant:
         """The shard the named analyst's ledger lives on."""
         return stable_shard(analyst, self.shards)
 
-    def shard_ledger(self, index: int) -> ServiceAccountant:
-        """The per-shard sub-accountant (diagnostics and tests)."""
-        return self._shard_ledgers[index]
-
-    def _register(self, analyst: str, index: int) -> None:
-        # Lock-free fast path: registered analysts are never removed, so a
-        # plain dict read suffices after the first charge attempt.
-        if analyst not in self._known:
-            with self._broker_lock:
-                if analyst not in self._known:
-                    self._known[analyst] = index
-                    self._order.append((index, analyst))
+    def _shard(self, analyst: str) -> ServiceAccountant:
+        return self._shard_ledgers[stable_shard(analyst, self.shards)]
 
     # -- charging -----------------------------------------------------------
 
     def charge(self, analyst: str, count: int, epsilon_per_query: float) -> None:
-        """Atomically charge ``count`` queries at ``epsilon_per_query`` each.
-
-        Semantics of :meth:`ServiceAccountant.charge`, verdicts included:
-        per-analyst refusals come from the analyst's (shard-local) ledger,
-        global refusals from the exact reconciliation path.  Only the
-        owning shard's lock is taken unless the shard's lease runs dry.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if epsilon_per_query < 0:
-            raise ValueError("epsilon_per_query must be non-negative")
-        if count == 0:
-            return
-        index = self.shard_of(analyst)
-        shard = self._shard_ledgers[index]
-        self._register(analyst, index)
-        with shard._lock:
-            ledger = shard._ledger_for(analyst)
-            before = ledger.epsilon_composed
-            ledger.reserve(count, epsilon_per_query, analyst=analyst)
-            delta = ledger.epsilon_composed - before
-            if self.global_epsilon is not None and not self._leases[index].consume(
-                delta
-            ):
-                try:
-                    self._reconcile_charge(index, analyst, count, epsilon_per_query, delta)
-                except BudgetExhausted:
-                    ledger.rollback(count, epsilon_per_query)
-                    raise
-            # Mirror into the shard's own single ledger so shard totals and
-            # queries_charged aggregate without walking analyst ledgers.
-            PrivacyAccountant.reserve(shard, count, epsilon_per_query)
-
-    def _reconcile_charge(
-        self, index: int, analyst: str, count: int, epsilon_per_query: float, delta: float
-    ) -> None:
-        """Exact global check at lease exhaustion; refill on success.
-
-        Reclaims every outstanding lease, recomputes the global total the
-        way the single ledger does (ordered float sum, charge already
-        reserved), and refuses with the identical :class:`BudgetExhausted`
-        when it crosses ``global_epsilon``.  On success the calling shard
-        is granted a fresh credit chunk, capped so that spend plus every
-        outstanding lease can never exceed the budget.
-        """
-        assert self.global_epsilon is not None
-        with self._broker_lock:
-            self.reconciliations += 1
-            for lease in self._leases:
-                lease.drain()
-            grand = self._grand_total()
-            if grand > self.global_epsilon + _EPSILON_TOLERANCE:
-                raise BudgetExhausted(
-                    f"global budget: charging analyst {analyst!r} {count} x "
-                    f"eps={epsilon_per_query} would total "
-                    f"{grand:.4f} > budget {self.global_epsilon}",
-                    analyst=analyst,
-                    scope="global",
-                    requested=delta,
-                    budget=self.global_epsilon,
-                    spent=grand - delta,
-                )
-            headroom = max(0.0, self.global_epsilon - grand)
-            self._leases[index].deposit(min(self.lease_chunk or headroom, headroom))
-
-    def _grand_total(self) -> float:
-        """Ordered exact sum of per-analyst composed epsilons.
-
-        Same iteration order (first charge attempt) and same ``sum``
-        semantics as ``ServiceAccountant.global_spent`` — freshly created
-        ledgers contribute an exact ``0.0``, so including them is bit-safe.
-        """
-        return sum(
-            ledger.epsilon_composed
-            for index, analyst in self._order
-            if (ledger := self._shard_ledgers[index]._ledgers.get(analyst)) is not None
-        )
+        """:meth:`ServiceAccountant.charge` on the analyst's shard."""
+        self._shard(analyst).charge(analyst, count, epsilon_per_query)
 
     def refund(self, analyst: str, count: int, epsilon_per_query: float) -> None:
         """Return a charge to the budgets (inverse of :meth:`charge`)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return
-        index = self.shard_of(analyst)
-        shard = self._shard_ledgers[index]
-        with shard._lock:
-            ledger = shard._ledgers.get(analyst)
-            if ledger is None:
-                raise ValueError(f"no charges recorded for analyst {analyst!r}")
-            before = ledger.epsilon_composed
-            ledger.rollback(count, epsilon_per_query)
-            delta = before - ledger.epsilon_composed
-            PrivacyAccountant.rollback(shard, count, epsilon_per_query)
-        if self.global_epsilon is not None and delta > 0:
-            # The freed headroom goes back to the refunding shard's lease;
-            # spend dropped by exactly delta, so the invariant holds.
-            self._leases[index].deposit(delta)
+        self._shard(analyst).refund(analyst, count, epsilon_per_query)
 
     def lease(self, analyst: str, count: int, epsilon_per_query: float) -> BudgetLease:
         """Charge-and-hold, the :meth:`ServiceAccountant.lease` contract."""
         return BudgetLease.acquire(self, analyst, count, epsilon_per_query)
 
-    # -- read access (always exact; leases are invisible here) --------------
+    # -- read access --------------------------------------------------------
 
     def analyst_queries(self, analyst: str) -> int:
         """Queries charged to ``analyst`` so far."""
-        return self._shard_ledgers[self.shard_of(analyst)].analyst_queries(analyst)
+        return self._shard(analyst).analyst_queries(analyst)
 
     def analyst_epsilon(self, analyst: str) -> float:
         """``analyst``'s composed epsilon so far."""
-        return self._shard_ledgers[self.shard_of(analyst)].analyst_epsilon(analyst)
+        return self._shard(analyst).analyst_epsilon(analyst)
 
     def remaining_epsilon(self, analyst: str) -> float | None:
         """Unspent per-analyst epsilon, or ``None`` for an unlimited ledger."""
-        if self.per_analyst_epsilon is None:
-            return None
-        return self.per_analyst_epsilon - self.analyst_epsilon(analyst)
+        return self._shard(analyst).remaining_epsilon(analyst)
 
     def global_spent(self) -> float:
-        """Composed epsilon across all analysts, reconciled exactly.
-
-        Bit-identical to ``ServiceAccountant.global_spent`` for the same
-        charge history: same per-analyst composed values, summed in the
-        same first-charge order.
-        """
-        with self._broker_lock:
-            return self._grand_total()
+        """Composed epsilon across all analysts, exactly rounded."""
+        return self._total.spent()
 
     @property
     def queries_charged(self) -> int:
@@ -972,13 +884,8 @@ class ShardedAccountant:
 
     def total(self) -> tuple[float, float]:
         """Aggregate (epsilon, delta) under basic composition, shard order."""
-        epsilon = 0.0
-        delta = 0.0
-        for shard in self._shard_ledgers:
-            shard_epsilon, shard_delta = shard.total()
-            epsilon += shard_epsilon
-            delta += shard_delta
-        return epsilon, delta
+        totals = [shard.total() for shard in self._shard_ledgers]
+        return sum(eps for eps, _ in totals), sum(delta for _, delta in totals)
 
     def __repr__(self) -> str:
         return (

@@ -19,12 +19,14 @@ path:
   is global per shard (10^5 sessions no longer mean 10^5 unbounded dicts),
   and an analyst's whole batch lands in one stripe: one lock acquisition.
 
-- **Leased global budget.**  The default accountant is a
+- **Exact global budget.**  The default accountant is a
   :class:`~repro.privacy.accounting.ShardedAccountant`: per-shard
-  sub-ledgers with the global epsilon cap enforced through pre-authorized
-  leases, reconciled *exactly* (same float summation order) at exhaustion
-  and on reads — budget verdicts are bit-identical to the single-ledger
-  server, which the golden tests pin.
+  sub-ledgers that book into one exactly rounded running total of every
+  analyst's composed epsilon.  A charge takes its shard's lock, then the
+  total's leaf lock (never the other way round), swaps the analyst's old
+  composed epsilon for the new one and checks the cap — O(1) per charge,
+  and independent of charge order, so budget verdicts are bit-identical to
+  the single-ledger server, which the golden tests pin.
 
 - **Admission control.**  Per-analyst token buckets (:class:`RateLimit`)
   and a per-shard in-flight gate reject overload with a typed

@@ -37,7 +37,6 @@ __all__ = [
     "CACHE_MISSES",
     "COMPLIANCE_DENIALS",
     "COMPLIANCE_REQUIRE_SECONDS",
-    "LEASE_RECONCILIATIONS",
     "REQUESTS_TOTAL",
     "STAGE_SECONDS",
     "TelemetryAdmission",
@@ -75,7 +74,6 @@ COMPLIANCE_DENIALS = "repro_compliance_denials_total"
 # -- budget accounting ------------------------------------------------------
 BUDGET_EPSILON_SPENT = "repro_budget_epsilon_spent"
 BUDGET_EPSILON_REMAINING = "repro_budget_epsilon_remaining"
-LEASE_RECONCILIATIONS = "repro_lease_reconciliations_total"
 
 
 @lru_cache(maxsize=4096)

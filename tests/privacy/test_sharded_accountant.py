@@ -3,9 +3,14 @@
 The sharded accountant's contract is *bit-identity*: for any interleaving
 of charges across shards, total spend and every ``BudgetExhausted``
 verdict (message, scope, and carried numbers) must match the single-ledger
-``ServiceAccountant`` running the same sequence.
+``ServiceAccountant`` running the same sequence.  Both keep the global
+total as one exactly rounded running sum, so the suite also checks that
+sum against ``math.fsum`` of the per-analyst spends, and that a charge's
+cost does not grow with the number of analysts.
 """
 
+import math
+import sys
 import threading
 
 import pytest
@@ -16,6 +21,7 @@ from repro.privacy.accounting import (
     AdvancedAccountant,
     BasicAccountant,
     BudgetExhausted,
+    PrivacyAccountant,
     ShardedAccountant,
     stable_shard,
 )
@@ -69,8 +75,6 @@ class TestConstruction:
             ShardedAccountant(rule="renyi")
         with pytest.raises(ValueError, match="global_epsilon"):
             ShardedAccountant(global_epsilon=0.0)
-        with pytest.raises(ValueError, match="lease_chunk"):
-            ShardedAccountant(global_epsilon=1.0, lease_chunk=-1.0)
 
     def test_charge_validates_inputs(self):
         ledger = ShardedAccountant()
@@ -78,10 +82,6 @@ class TestConstruction:
             ledger.charge("a", -1, 0.1)
         with pytest.raises(ValueError, match="epsilon"):
             ledger.charge("a", 1, -0.1)
-
-    def test_default_lease_chunk(self):
-        ledger = ShardedAccountant(global_epsilon=8.0, shards=4)
-        assert ledger.lease_chunk == pytest.approx(0.5)
 
 
 class TestBitIdentity:
@@ -125,14 +125,6 @@ class TestBitIdentity:
         sharded = ShardedAccountant(2.0, 4.0, shards=shards, rule="advanced")
         assert replay(single, steps) == replay(sharded, steps)
 
-    def test_tiny_lease_chunks_change_nothing(self):
-        # Pathologically small leases force a reconciliation on nearly every
-        # charge; verdicts and spends must be unchanged.
-        schedule = [(a, 1, 0.3) for a in ANALYSTS for _ in range(5)]
-        single = BasicAccountant(2.0, 4.0)
-        sharded = ShardedAccountant(2.0, 4.0, shards=4, lease_chunk=1e-9)
-        assert replay(single, schedule) == replay(sharded, schedule)
-
     def test_refund_matches_single_ledger(self):
         single = BasicAccountant(5.0, 10.0)
         sharded = ShardedAccountant(5.0, 10.0, shards=4)
@@ -170,14 +162,18 @@ class TestGlobalCap:
         assert sharded.global_spent() == 1.0
 
     def test_leases_never_overcommit(self):
-        # Outstanding leases plus exact spend must stay within the budget:
-        # exhaust it via one analyst, then every other analyst must refuse.
-        sharded = ShardedAccountant(None, 2.0, shards=16, lease_chunk=0.5)
-        for _ in range(4):
-            sharded.charge("alice", 1, 0.5)
+        # Held budget leases count against the cap at once: exhaust it via
+        # one analyst, then every other analyst, on any shard, must refuse.
+        sharded = ShardedAccountant(None, 2.0, shards=16)
+        held = [sharded.lease("alice", 1, 0.5) for _ in range(4)]
         for analyst in ANALYSTS[1:]:
-            with pytest.raises(BudgetExhausted):
-                sharded.charge(analyst, 1, 1e-9)
+            with pytest.raises(BudgetExhausted) as caught:
+                sharded.lease(analyst, 1, 1e-9)
+            assert caught.value.scope == "global"
+        assert sharded.global_spent() == 2.0
+        held[-1].rollback()
+        sharded.lease("bob", 1, 0.5).commit()
+        assert sharded.global_spent() == 2.0
 
     def test_per_analyst_refusal_scope(self):
         sharded = ShardedAccountant(1.0, None, shards=4)
@@ -196,17 +192,21 @@ class TestGlobalCap:
 
 class TestConcurrency:
     def test_parallel_charges_conserve_the_budget(self):
-        # Hammer one global budget from many threads; regardless of the
-        # interleaving, accepted spend must never exceed the cap and the
-        # final ledger must be internally consistent.
-        sharded = ShardedAccountant(None, 10.0, shards=8, lease_chunk=0.25)
+        # Hammer one global budget from more threads than cores, with a
+        # short switch interval; regardless of the interleaving, accepted
+        # spend must never exceed the cap, and the exact total must equal
+        # the per-analyst ledgers, which a lost update would break.
+        sharded = ShardedAccountant(None, 10.0, shards=8)
         accepted = []
         errors = []
 
         def worker(analyst):
-            for _ in range(30):
+            for index in range(30):
                 try:
                     sharded.charge(analyst, 1, 0.1)
+                    if index % 7 == 0:
+                        sharded.refund(analyst, 1, 0.1)
+                        continue
                 except BudgetExhausted:
                     pass
                 except Exception as unexpected:  # pragma: no cover
@@ -214,15 +214,205 @@ class TestConcurrency:
                 else:
                     accepted.append(analyst)
 
-        threads = [
-            threading.Thread(target=worker, args=(f"analyst-{i}",)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        names = [f"analyst-{i}" for i in range(8)]
+        threads = [threading.Thread(target=worker, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         spent = sharded.global_spent()
         assert spent <= 10.0 + 1e-9
         assert spent == pytest.approx(0.1 * len(accepted))
+        assert spent == math.fsum(sharded.analyst_epsilon(name) for name in names)
         assert sharded.queries_charged == len(accepted)
+
+
+    def test_parallel_charges_keep_the_total_exact(self):
+        # Many more charges, uncapped, with epsilons whose sums round:
+        # a lost update to the shared total shows as a mismatch with the
+        # per-analyst ledgers.
+        sharded = ShardedAccountant(None, None, shards=8)
+        names = [f"analyst-{i}" for i in range(8)]
+        epsilons = (0.1, 1 / 3, math.pi * 1e-5, math.e * 1e-9)
+
+        def worker(offset, analyst):
+            for index in range(1_500):
+                sharded.charge(analyst, 1, epsilons[(index + offset) % 4])
+
+        threads = [
+            threading.Thread(target=worker, args=(offset, name))
+            for offset, name in enumerate(names)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sharded.queries_charged == 8 * 1_500
+        assert sharded.global_spent() == math.fsum(
+            sharded.analyst_epsilon(name) for name in names
+        )
+
+
+#: The slack every budget comparison allows for float accumulation.
+TOLERANCE = 1e-12
+
+#: (label, factory(per_analyst, global_cap), rule) for every accountant
+#: that keeps the global total.
+ACCOUNTANTS = [
+    ("basic", lambda per, cap: BasicAccountant(per, cap), "basic"),
+    ("advanced", lambda per, cap: AdvancedAccountant(per, cap), "advanced"),
+] + [
+    (
+        f"sharded-{rule}-{shards}",
+        lambda per, cap, shards=shards, rule=rule: ShardedAccountant(
+            per, cap, shards=shards, rule=rule
+        ),
+        rule,
+    )
+    for shards in (1, 2, 16)
+    for rule in ("basic", "advanced")
+]
+
+
+class TestExactGlobalTotal:
+    @pytest.mark.parametrize(
+        "make, rule",
+        [(make, rule) for _, make, rule in ACCOUNTANTS],
+        ids=[label for label, _, _ in ACCOUNTANTS],
+    )
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("charge"),
+                    st.sampled_from(ANALYSTS),
+                    st.integers(min_value=1, max_value=4),
+                    st.sampled_from([0.1, 0.2, 0.25, 0.3, 1 / 3, 0.7]),
+                ),
+                st.tuples(st.just("refund"), st.sampled_from(ANALYSTS)),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        per_analyst=st.sampled_from([None, 1.5]),
+        cap=st.sampled_from([None, 2.0, 3.1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_total_is_exact_and_refusals_follow_it(
+        self, make, rule, steps, per_analyst, cap
+    ):
+        accountant = make(per_analyst, cap)
+        compose = (
+            AdvancedAccountant() if rule == "advanced" else BasicAccountant()
+        ).composed_epsilon
+        counts = {analyst: {} for analyst in ANALYSTS}
+        history = {analyst: [] for analyst in ANALYSTS}
+        for step in steps:
+            analyst = step[1]
+            if step[0] == "refund":
+                if not history[analyst]:
+                    continue
+                count, epsilon = history[analyst].pop()
+                accountant.refund(analyst, count, epsilon)
+                counts[analyst][epsilon] -= count
+                if not counts[analyst][epsilon]:
+                    del counts[analyst][epsilon]
+            else:
+                _, _, count, epsilon = step
+                candidate = dict(counts[analyst])
+                candidate[epsilon] = candidate.get(epsilon, 0) + count
+                mine = compose(candidate)
+                total = math.fsum(
+                    [mine]
+                    + [accountant.analyst_epsilon(a) for a in ANALYSTS if a != analyst]
+                )
+                if per_analyst is not None and mine > per_analyst + TOLERANCE:
+                    expected = "analyst"
+                elif cap is not None and total > cap + TOLERANCE:
+                    expected = "global"
+                else:
+                    expected = None
+                try:
+                    accountant.charge(analyst, count, epsilon)
+                except BudgetExhausted as refusal:
+                    assert refusal.scope == expected
+                else:
+                    assert expected is None
+                    counts[analyst] = candidate
+                    history[analyst].append((count, epsilon))
+            assert accountant.global_spent() == math.fsum(
+                accountant.analyst_epsilon(a) for a in ANALYSTS
+            )
+
+    def test_exactly_rounded_where_an_ordered_sum_is_not(self):
+        # 1e16 + 1 + 1 rounds to 1e16 summed left to right; the exact sum
+        # is 1e16 + 2, which is representable.
+        accountant = ShardedAccountant(None, None, shards=4)
+        for analyst, epsilon in (("alice", 1e16), ("bob", 1.0), ("carol", 1.0)):
+            accountant.charge(analyst, 1, epsilon)
+        assert accountant.global_spent() == 1e16 + 2
+
+    def test_infinite_spend_is_counted_and_refunded(self):
+        uncapped = BasicAccountant()
+        uncapped.charge("alice", 1, math.inf)
+        uncapped.charge("bob", 1, 0.5)
+        assert uncapped.global_spent() == math.inf
+        uncapped.refund("alice", 1, math.inf)
+        assert uncapped.global_spent() == 0.5
+        capped = ShardedAccountant(None, 5.0, shards=4)
+        with pytest.raises(BudgetExhausted) as caught:
+            capped.charge("alice", 1, math.inf)
+        assert caught.value.scope == "global"
+        assert caught.value.spent == 0.0
+        capped.charge("bob", 1, 1.0)
+        assert capped.global_spent() == 1.0
+
+
+class TestChargeCost:
+    """A capped charge costs the same at 100 and at 10,000 analysts."""
+
+    @staticmethod
+    def composed_calls_for_one_charge(make, analysts, monkeypatch):
+        accountant = make()
+        for index in range(analysts):
+            accountant.charge(f"analyst-{index}", 1, 1e-3)
+        calls = []
+        original = PrivacyAccountant._composed
+
+        def counting(ledger, counts):
+            calls.append(len(counts))
+            return original(ledger, counts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PrivacyAccountant, "_composed", counting)
+            accountant.charge("analyst-0", 1, 1e-3)
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BasicAccountant(None, 1e6),
+            lambda: ShardedAccountant(None, 1e6),
+            lambda: ShardedAccountant(1.0, 1e6, rule="advanced"),
+        ],
+        ids=["basic", "sharded", "sharded-advanced"],
+    )
+    def test_composed_evaluations_do_not_grow_with_analysts(self, make, monkeypatch):
+        few = self.composed_calls_for_one_charge(make, 100, monkeypatch)
+        many = self.composed_calls_for_one_charge(make, 10_000, monkeypatch)
+        assert few == many
+        # The analyst's composed epsilon is computed once per charge.
+        assert few == 1

@@ -36,7 +36,6 @@ from repro.telemetry.instrument import (
     CACHE_HITS,
     COMPLIANCE_DENIALS,
     COMPLIANCE_REQUIRE_SECONDS,
-    LEASE_RECONCILIATIONS,
     REQUESTS_TOTAL,
     STAGE_SECONDS,
     analyst_digest_prefix,
@@ -283,7 +282,7 @@ class TestComplianceInstrumentation:
 class TestAccountantInstrumentation:
     def test_budget_gauges_and_reconciliations(self):
         telemetry = Telemetry()
-        accountant = ShardedAccountant(None, 4.0, shards=2, lease_chunk=0.5)
+        accountant = ShardedAccountant(None, 4.0, shards=2)
         server = ShardedQueryServer(
             make_data(),
             "laplace",
@@ -300,10 +299,9 @@ class TestAccountantInstrumentation:
         remaining = snap.gauge_value(BUDGET_EPSILON_REMAINING)
         assert spent == pytest.approx(accountant.global_spent())
         assert remaining == pytest.approx(4.0 - accountant.global_spent())
-        assert accountant.reconciliations >= 1
-        assert snap.counter_value(LEASE_RECONCILIATIONS) == float(
-            accountant.reconciliations
-        )
+        # The gauge reads the exact running total, which reconciles with
+        # the per-analyst ledger exactly.
+        assert spent == accountant.global_spent() == accountant.analyst_epsilon("alice")
 
 
 class TestBitIdentity:
