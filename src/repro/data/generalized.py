@@ -18,8 +18,36 @@ from repro.data.hierarchy import GeneralizedValue
 from repro.data.schema import Schema
 
 
+class _Cells(tuple):
+    """A record's cells: a tuple that computes its hash once and keeps it.
+
+    A release's equivalence classes are found by hashing its records, and
+    hashing a plain tuple of cells calls the Python-level
+    :meth:`GeneralizedValue.__hash__` once per cell, every time.  A tuple
+    hashes the hashes of its items and a cell hashes as its cover set, so
+    hashing the tuple of cover sets gives the plain tuple's hash, without
+    those calls.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["hash"]
+        except KeyError:
+            value = self.__dict__["hash"] = hash(tuple([cell._covers for cell in self]))
+            return value
+
+    def __reduce__(self):
+        # The kept hash is not pickled: string hashes differ between
+        # processes.
+        return (_Cells, (tuple(self),))
+
+
 class GeneralizedRecord:
-    """One anonymized row: a tuple of generalized values in schema order."""
+    """One anonymized row: a tuple of generalized values in schema order.
+
+    The values' hash is computed once (see :class:`_Cells`), so a record
+    and its values hash in constant time after the first time.
+    """
 
     __slots__ = ("_schema", "_values")
 
@@ -35,7 +63,16 @@ class GeneralizedRecord:
                     f"{type(value).__name__}"
                 )
         self._schema = schema
-        self._values: tuple[GeneralizedValue, ...] = tuple(values)
+        self._values: tuple[GeneralizedValue, ...] = _Cells(values)
+
+    @classmethod
+    def _trusted(cls, schema: Schema, values: Iterable[GeneralizedValue]) -> "GeneralizedRecord":
+        """A record from values its builder knows to be one
+        :class:`GeneralizedValue` per schema field (no per-cell check)."""
+        record = cls.__new__(cls)
+        record._schema = schema
+        record._values = _Cells(values)
+        return record
 
     @property
     def schema(self) -> Schema:

@@ -162,6 +162,22 @@ class PrivacyAccountant:
       reservation whose work later fails can be rolled back.
     """
 
+    # A service holds one ledger per analyst, so a ledger carries no
+    # per-instance ``__dict__``; subclasses without ``__slots__`` get one.
+    __slots__ = (
+        "epsilon_budget",
+        "delta_budget",
+        "max_queries",
+        "_composition",
+        "_record_entries",
+        "_entries",
+        "_counts",
+        "_delta_total",
+        "_queries",
+        "_epsilon",
+        "_lock",
+    )
+
     def __init__(
         self,
         epsilon_budget: float | None = None,

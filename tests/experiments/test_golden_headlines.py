@@ -5,8 +5,12 @@ noise draw and every accountant charge through ``repro.privacy``; their
 quick-mode seed-0 headlines below were recorded pre-refactor and must stay
 bit-identical (hex-float comparison, no tolerance).  E19 (synthetic-data
 release) is pinned the same way so any drift in the synthesis stack is a
-deliberate, reviewed change.
+deliberate, reviewed change.  E12 (k-anonymity PSO) and a run of the
+agreement-anonymizer game are pinned the same way, so the columnar
+k-anonymity path must reproduce every release, class and trial.
 """
+
+import hashlib
 
 import pytest
 
@@ -19,6 +23,40 @@ def test_e11_quick_headline_bit_identical():
     headline = run_experiment("E11", seed=0, quick=True).headline
     assert float(headline["attack_success_exact_counts"]).hex() == "0x1.47ae147ae147bp-1"
     assert float(headline["attack_success_dp_eps2"]).hex() == "0x0.0p+0"
+
+
+def test_e12_quick_headline_bit_identical():
+    headline = run_experiment("E12", seed=0, quick=True).headline
+    assert set(headline["refinement_success"]) == {4}
+    assert float(headline["refinement_success"][4]).hex() == "0x1.ddddddddddddep-3"
+    assert float(headline["cohen_singleton_success"]).hex() == "0x1.0000000000000p+0"
+
+
+def test_agreement_game_trials_bit_identical():
+    # 20 seed-0 trials of the Theorem 2.10 refinement game at E12's k=4
+    # width: every trial's outcome and the exact bits of its weight bound.
+    from repro.anonymity.agreement import AgreementAnonymizer
+    from repro.core.attackers import KAnonymityPSOAttacker
+    from repro.core.mechanisms import KAnonymityMechanism
+    from repro.core.pso import PSOGame
+    from repro.data.distributions import ProductDistribution, uniform_bits_schema
+
+    game = PSOGame(
+        ProductDistribution.uniform(uniform_bits_schema(192)),
+        250,
+        KAnonymityMechanism(AgreementAnonymizer(4), label="agreement"),
+        KAnonymityPSOAttacker("refine"),
+    )
+    trials = game.run(20, rng=0).trials
+    fingerprint = "\n".join(
+        f"{t.succeeded},{t.isolated},{t.weight_bound.hex()}" for t in trials
+    )
+    assert sum(t.succeeded for t in trials) == 10
+    assert sum(t.isolated for t in trials) == 10
+    assert (
+        hashlib.sha256(fingerprint.encode()).hexdigest()
+        == "4931aa8ca41aa73348a6e83ca98b143d9c1b1f1cb5bfe6ccc0af4f82a2817dcf"
+    )
 
 
 def test_e19_quick_headline_bit_identical():

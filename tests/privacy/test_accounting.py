@@ -117,6 +117,16 @@ class TestServiceAccountantUnification:
         accountant.charge("alice", 1, 0.3)
         assert accountant.analyst_epsilon("alice") == pytest.approx(0.3)
 
+    def test_per_analyst_ledger_has_no_instance_dict(self):
+        # One ledger per analyst: __slots__ keeps each one small.
+        accountant = BasicAccountant(per_analyst_epsilon=1.0)
+        accountant.charge("alice", 1, 0.25)
+        ledger = accountant._ledgers["alice"]
+        assert type(ledger) is PrivacyAccountant
+        assert not hasattr(ledger, "__dict__")
+        with pytest.raises(AttributeError):
+            ledger.unexpected = 1
+
     def test_zero_epsilon_queries_still_counted(self):
         accountant = BasicAccountant(max_queries_per_analyst=3)
         accountant.charge("alice", 3, 0.0)
